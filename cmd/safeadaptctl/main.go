@@ -93,6 +93,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
+	if cmd == "plan" && *k < 1 {
+		return fmt.Errorf("plan: -k must be at least 1, got %d", *k)
+	}
 
 	if cmd == "template" {
 		data, err := json.MarshalIndent(spec.PaperSystem(), "", "  ")

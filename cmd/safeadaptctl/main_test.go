@@ -194,4 +194,13 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"plan", "-f", "/nonexistent.json"}, &sb); err == nil {
 		t.Error("missing file should fail")
 	}
+	for _, args := range [][]string{
+		{"plan", "-k", "0"},
+		{"plan", "-k", "-2"},
+		{"plan", "-json", "-k", "0"},
+	} {
+		if err := run(args, &sb); err == nil {
+			t.Errorf("%v should fail: a plan needs at least one path", args)
+		}
+	}
 }

@@ -135,8 +135,8 @@ func encodeToBytes(t testing.TB, recs []Record) []byte {
 func FuzzJournalStream(f *testing.F) {
 	valid := encodeToBytes(f, genRecords(rand.New(rand.NewSource(42)), 12))
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                          // torn mid-frame
-	f.Add(append(append([]byte{}, valid...), valid...))  // duplicated log
+	f.Add(valid[:len(valid)/2])                           // torn mid-frame
+	f.Add(append(append([]byte{}, valid...), valid...))   // duplicated log
 	f.Add(append(append([]byte{}, valid...), 0xde, 0xad)) // trailing garbage
 
 	// Reorder the first two frames (both individually checksum-clean).

@@ -573,7 +573,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 
 		// Ladder option 2: alternative paths from the current
 		// configuration that avoid every failed edge.
-		alt, altErr := m.alternative(current, target, failedEdges)
+		alt, altErr := m.plan.Replan(current, target, failedEdges, m.opts.MaxAlternatives+1)
 		if altErr == nil {
 			m.logf("switching to alternative path: %s", alt)
 			m.tel.Counter("manager.alternative_paths").Inc()
@@ -621,34 +621,6 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 			Reason:  sf.why,
 		}
 	}
-}
-
-// alternative finds the cheapest path from current to target that avoids
-// all failed edges. It returns an error when none exists within the
-// configured bound.
-func (m *Manager) alternative(current, target model.Config, failed []sag.Edge) (sag.Path, error) {
-	paths, err := m.plan.Alternatives(current, target, m.opts.MaxAlternatives+1)
-	if err != nil {
-		return sag.Path{}, err
-	}
-	for _, p := range paths {
-		uses := false
-		for _, e := range p.Steps {
-			for _, f := range failed {
-				if e.From == f.From && e.To == f.To && e.Action.ID == f.Action.ID {
-					uses = true
-					break
-				}
-			}
-			if uses {
-				break
-			}
-		}
-		if !uses && len(p.Steps) > 0 {
-			return p, nil
-		}
-	}
-	return sag.Path{}, fmt.Errorf("manager: no alternative path avoids the failed steps")
 }
 
 // executePath runs the steps of path starting from `from`. Each step is

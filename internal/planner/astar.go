@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"container/heap"
 	"math/bits"
 	"time"
 
@@ -54,12 +53,6 @@ func (p *Planner) PlanAStar(source, target model.Config) (sag.Path, error) {
 			kMax = k
 		}
 	}
-	if len(p.actions) == 0 {
-		return sag.Path{}, &sag.ErrNoPath{
-			Source: p.reg.BitVector(source),
-			Target: p.reg.BitVector(target),
-		}
-	}
 	h := func(c model.Config) time.Duration {
 		d := bits.OnesCount64(uint64(c ^ target))
 		if d == 0 {
@@ -68,79 +61,6 @@ func (p *Planner) PlanAStar(source, target model.Config) (sag.Path, error) {
 		steps := (d + kMax - 1) / kMax
 		return time.Duration(steps) * cMin
 	}
-
-	type visit struct {
-		g    time.Duration
-		prev model.Config
-		via  sag.Edge
-	}
-	seen := map[model.Config]visit{source: {}}
-	done := map[model.Config]bool{}
-	pq := &astarHeap{{cfg: source, f: h(source)}}
-
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(astarNode)
-		if done[cur.cfg] {
-			continue
-		}
-		done[cur.cfg] = true
-		if cur.cfg == target {
-			break
-		}
-		g := seen[cur.cfg].g
-		for _, a := range p.actions {
-			next, ok := a.Apply(p.reg, cur.cfg)
-			if !ok || next == cur.cfg || done[next] {
-				continue
-			}
-			if !p.invs.Satisfied(next) {
-				continue
-			}
-			ng := g + a.Cost
-			if v, had := seen[next]; !had || ng < v.g {
-				seen[next] = visit{
-					g:    ng,
-					prev: cur.cfg,
-					via:  sag.Edge{From: cur.cfg, To: next, Action: a},
-				}
-				heap.Push(pq, astarNode{cfg: next, f: ng + h(next)})
-			}
-		}
-	}
-	if !done[target] {
-		return sag.Path{}, &sag.ErrNoPath{
-			Source: p.reg.BitVector(source),
-			Target: p.reg.BitVector(target),
-		}
-	}
-	var rev []sag.Edge
-	for at := target; at != source; {
-		v := seen[at]
-		rev = append(rev, v.via)
-		at = v.prev
-	}
-	steps := make([]sag.Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return sag.Path{Steps: steps}, nil
-}
-
-type astarNode struct {
-	cfg model.Config
-	f   time.Duration
-}
-
-type astarHeap []astarNode
-
-func (h astarHeap) Len() int           { return len(h) }
-func (h astarHeap) Less(i, j int) bool { return h[i].f < h[j].f }
-func (h astarHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *astarHeap) Push(x any)        { *h = append(*h, x.(astarNode)) }
-func (h *astarHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	path, _, err := p.search(source, target, h)
+	return path, err
 }

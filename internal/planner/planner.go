@@ -2,12 +2,17 @@
 // adaptation process (paper Sec. 4.2): constructing the safe configuration
 // set, building the safe adaptation graph, and finding minimum adaptation
 // paths — plus replanning for the failure-recovery ladder (Sec. 4.4) and
-// the scalability extensions sketched in Sec. 7 (lazy partial SAG
+// the scalability extensions sketched in Sec. 7 (lazy and A* partial SAG
 // exploration and collaborative-set decomposition).
+//
+// Every path query runs sag.Search: Plan, Alternatives and Replan over
+// the cached SAG, PlanLazy and PlanAStar over actions applied on the fly
+// with the invariants as the admit filter. Plan stays on the cached SAG
+// because the manager plans every adaptation and the prebuilt adjacency
+// is several times faster than re-deriving successors.
 package planner
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -176,32 +181,29 @@ func (p *Planner) Alternatives(source, target model.Config, k int) ([]sag.Path, 
 	return paths, err
 }
 
-// Replan plans from an intermediate configuration (where a failed
-// adaptation left the system) to the target, excluding the adaptation step
-// that just failed so the planner proposes a genuinely different route
-// first. If no route avoids the failed step, the failed step's path is
-// returned anyway (the ladder then retries it or gives up).
-func (p *Planner) Replan(current, target model.Config, failed *sag.Edge) (sag.Path, error) {
-	if failed == nil {
-		return p.Plan(current, target)
-	}
-	paths, err := p.Alternatives(current, target, 8)
+// Replan is the failure-recovery ladder's "try another path" rung
+// (Sec. 4.4): from the configuration a failed adaptation left the system
+// in, it returns the cheapest non-empty path among the k shortest to
+// target that uses none of the failed steps, or an error when none does.
+func (p *Planner) Replan(current, target model.Config, failed []sag.Edge, k int) (sag.Path, error) {
+	paths, err := p.Alternatives(current, target, k)
 	if err != nil {
 		return sag.Path{}, err
 	}
+next:
 	for _, path := range paths {
-		uses := false
 		for _, e := range path.Steps {
-			if e.From == failed.From && e.To == failed.To && e.Action.ID == failed.Action.ID {
-				uses = true
-				break
+			for _, f := range failed {
+				if e.Same(f) {
+					continue next
+				}
 			}
 		}
-		if !uses {
+		if len(path.Steps) > 0 {
 			return path, nil
 		}
 	}
-	return paths[0], nil
+	return sag.Path{}, fmt.Errorf("planner: no alternative path avoids the failed steps")
 }
 
 func (p *Planner) checkSafe(role string, c model.Config) error {
@@ -231,83 +233,33 @@ func (p *Planner) PlanLazy(source, target model.Config) (sag.Path, error) {
 	p.tel.Counter("planner.lazy.plans").Inc()
 	start := p.now()
 	defer func() { p.tel.Histogram("planner.lazy.latency").Observe(p.now().Sub(start)) }()
-
-	type visit struct {
-		dist time.Duration
-		prev model.Config
-		via  sag.Edge
-		ok   bool
-	}
-	seen := map[model.Config]visit{source: {ok: true}}
-	done := map[model.Config]bool{}
-	pq := &configHeap{{cfg: source, dist: 0}}
-
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(configDist)
-		if done[cur.cfg] {
-			continue
-		}
-		done[cur.cfg] = true
-		if cur.cfg == target {
-			break
-		}
-		for _, a := range p.actions {
-			next, ok := a.Apply(p.reg, cur.cfg)
-			if !ok || next == cur.cfg || done[next] {
-				continue
-			}
-			if !p.invs.Satisfied(next) {
-				continue
-			}
-			nd := cur.dist + a.Cost
-			if v, had := seen[next]; !had || nd < v.dist {
-				seen[next] = visit{
-					dist: nd,
-					prev: cur.cfg,
-					via:  sag.Edge{From: cur.cfg, To: next, Action: a},
-					ok:   true,
-				}
-				heap.Push(pq, configDist{cfg: next, dist: nd})
-			}
-		}
-	}
+	path, labelled, err := p.search(source, target, nil)
 	// The partial-exploration claim of Sec. 7 is exactly this number:
 	// how few configurations the lazy search had to enumerate.
-	p.tel.Counter("planner.lazy.configs_explored").Add(int64(len(seen)))
-	if !done[target] {
-		return sag.Path{}, &sag.ErrNoPath{
+	p.tel.Counter("planner.lazy.configs_explored").Add(int64(labelled))
+	return path, err
+}
+
+// search runs sag.Search without a prebuilt SAG: successors come from
+// applying every action to the configuration, and only arcs into
+// configurations that satisfy the invariants are admitted. h nil is the
+// lazy uniform-cost search; PlanAStar passes its heuristic.
+func (p *Planner) search(source, target model.Config, h func(model.Config) time.Duration) (sag.Path, int, error) {
+	succ := func(c model.Config, buf []sag.Edge) []sag.Edge {
+		for _, a := range p.actions {
+			if next, ok := a.Apply(p.reg, c); ok && next != c {
+				buf = append(buf, sag.Edge{From: c, To: next, Action: a})
+			}
+		}
+		return buf
+	}
+	admit := func(e sag.Edge) bool { return p.invs.Satisfied(e.To) }
+	path, labelled, ok := sag.Search(source, target, succ, admit, h)
+	if !ok {
+		return sag.Path{}, labelled, &sag.ErrNoPath{
 			Source: p.reg.BitVector(source),
 			Target: p.reg.BitVector(target),
 		}
 	}
-	var rev []sag.Edge
-	for at := target; at != source; {
-		v := seen[at]
-		rev = append(rev, v.via)
-		at = v.prev
-	}
-	steps := make([]sag.Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return sag.Path{Steps: steps}, nil
-}
-
-type configDist struct {
-	cfg  model.Config
-	dist time.Duration
-}
-
-type configHeap []configDist
-
-func (h configHeap) Len() int           { return len(h) }
-func (h configHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h configHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *configHeap) Push(x any)        { *h = append(*h, x.(configDist)) }
-func (h *configHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return path, labelled, nil
 }

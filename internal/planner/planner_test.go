@@ -119,22 +119,31 @@ func TestReplanAvoidsFailedEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := first.Steps[0]
-	re, err := p.Replan(src, tgt, &failed)
+	re, err := p.Replan(src, tgt, []sag.Edge{failed}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range re.Steps {
-		if e.From == failed.From && e.To == failed.To && e.Action.ID == failed.Action.ID {
+		if e.Same(failed) {
 			t.Errorf("replanned path still uses failed step %s", failed.Action.ID)
 		}
 	}
 	// Replanning with no failed edge is just Plan.
-	re2, err := p.Replan(src, tgt, nil)
+	re2, err := p.Replan(src, tgt, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re2.Cost() != first.Cost() {
 		t.Error("Replan(nil) should equal Plan")
+	}
+	// When every alternative uses a failed step there is nothing to
+	// switch to.
+	alts, err := p.Alternatives(src, tgt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Replan(src, tgt, []sag.Edge{alts[0].Steps[0], alts[1].Steps[0]}, 2); err == nil {
+		t.Error("Replan should fail when no alternative avoids the failed steps")
 	}
 }
 

@@ -3,12 +3,14 @@ package planner
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/action"
 	"repro/internal/invariant"
 	"repro/internal/model"
+	"repro/internal/sag"
 )
 
 // randomSystem builds a random adaptive system: n components in
@@ -86,11 +88,16 @@ func randomSystem(t *testing.T, rng *rand.Rand) (*Planner, []model.Config) {
 
 // TestPropertyPlannersAgreeOnRandomSystems: for random systems and random
 // safe source/target pairs, the eager SAG+Dijkstra pipeline, the lazy
-// uniform-cost search, and A* either all fail (no path) or all find paths
-// of identical cost, each executable and invariant-preserving.
+// search, A* and Yen's k-shortest paths either all fail (no path) or all
+// agree. They share one search core and its tie-break, so Plan, PlanLazy
+// and the first alternative are the identical path; A* orders equal-f
+// entries differently and only has to match the cost; and the
+// alternatives' costs by rank match a brute-force enumeration of the
+// loopless paths.
 func TestPropertyPlannersAgreeOnRandomSystems(t *testing.T) {
+	const k = 5
 	rng := rand.New(rand.NewSource(20040628)) // DSN 2004's opening day
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		p, safe := randomSystem(t, rng)
 		if len(safe) < 2 {
 			continue
@@ -99,24 +106,40 @@ func TestPropertyPlannersAgreeOnRandomSystems(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pair := 0; pair < 6; pair++ {
+		for pair := 0; pair < 8; pair++ {
 			src := safe[rng.Intn(len(safe))]
 			tgt := safe[rng.Intn(len(safe))]
+			where := fmt.Sprintf("trial %d %s->%s", trial, p.Registry().BitVector(src), p.Registry().BitVector(tgt))
 
-			eager, errE := g.ShortestPath(src, tgt)
+			eager, errE := p.Plan(src, tgt)
 			lazy, errL := p.PlanLazy(src, tgt)
 			astar, errA := p.PlanAStar(src, tgt)
+			alts, errK := p.Alternatives(src, tgt, k)
 
-			if (errE == nil) != (errL == nil) || (errE == nil) != (errA == nil) {
-				t.Fatalf("trial %d: reachability disagreement %v / %v / %v", trial, errE, errL, errA)
+			if (errE == nil) != (errL == nil) || (errE == nil) != (errA == nil) || (errE == nil) != (errK == nil) {
+				t.Fatalf("%s: reachability disagreement %v / %v / %v / %v", where, errE, errL, errA, errK)
 			}
 			if errE != nil {
 				continue
 			}
-			if eager.Cost() != lazy.Cost() || eager.Cost() != astar.Cost() {
-				t.Fatalf("trial %d %s->%s: costs %v / %v / %v",
-					trial, p.Registry().BitVector(src), p.Registry().BitVector(tgt),
-					eager.Cost(), lazy.Cost(), astar.Cost())
+			want := strings.Join(eager.ActionIDs(), ",")
+			if got := strings.Join(lazy.ActionIDs(), ","); got != want {
+				t.Fatalf("%s: PlanLazy %s, Plan %s", where, got, want)
+			}
+			if got := strings.Join(alts[0].ActionIDs(), ","); got != want {
+				t.Fatalf("%s: Alternatives[0] %s, Plan %s", where, got, want)
+			}
+			if eager.Cost() != astar.Cost() {
+				t.Fatalf("%s: costs %v / %v", where, eager.Cost(), astar.Cost())
+			}
+			brute := kLooplessCosts(g, src, tgt, k)
+			if len(alts) != len(brute) {
+				t.Fatalf("%s: %d alternatives, brute force finds %d", where, len(alts), len(brute))
+			}
+			for i, path := range alts {
+				if path.Cost() != brute[i] {
+					t.Fatalf("%s: alternative %d costs %v, brute force %v", where, i, path.Cost(), brute[i])
+				}
 			}
 			// Validate the A* path executes and stays safe (eager and
 			// lazy paths are validated by their own package tests).
@@ -124,15 +147,81 @@ func TestPropertyPlannersAgreeOnRandomSystems(t *testing.T) {
 			for _, e := range astar.Steps {
 				next, ok := e.Action.Apply(p.Registry(), cur)
 				if !ok || !p.Invariants().Satisfied(next) {
-					t.Fatalf("trial %d: A* path unsafe at %s", trial, e.Action.ID)
+					t.Fatalf("%s: A* path unsafe at %s", where, e.Action.ID)
 				}
 				cur = next
 			}
 			if cur != tgt {
-				t.Fatalf("trial %d: A* path misses target", trial)
+				t.Fatalf("%s: A* path misses target", where)
 			}
 		}
 	}
+}
+
+// kLooplessCosts enumerates the loopless paths from src to tgt in g,
+// cheapest first, and returns the k smallest costs. It grows every
+// loopless partial path without sharing labels between them, ordered by
+// cost plus the Bellman-Ford distance left to tgt; that bound is exact
+// on the relaxed problem, so complete paths come out in cost order.
+func kLooplessCosts(g *sag.Graph, src, tgt model.Config, k int) []time.Duration {
+	const inf = time.Duration(1<<63 - 1)
+	nodes := g.Nodes()
+	toTgt := make(map[model.Config]time.Duration, len(nodes))
+	for _, c := range nodes {
+		toTgt[c] = inf
+	}
+	toTgt[tgt] = 0
+	for changed := true; changed; {
+		changed = false
+		for _, c := range nodes {
+			for _, e := range g.OutEdges(c) {
+				if d := toTgt[e.To]; d != inf && e.Action.Cost+d < toTgt[c] {
+					toTgt[c] = e.Action.Cost + d
+					changed = true
+				}
+			}
+		}
+	}
+
+	type partial struct {
+		at   model.Config
+		cost time.Duration
+		prev *partial
+	}
+	visits := func(p *partial, c model.Config) bool {
+		for ; p != nil; p = p.prev {
+			if p.at == c {
+				return true
+			}
+		}
+		return false
+	}
+	var costs []time.Duration
+	frontier := []*partial{{at: src}}
+	if toTgt[src] == inf {
+		frontier = nil
+	}
+	for len(frontier) > 0 && len(costs) < k {
+		next := 0
+		for i, p := range frontier {
+			if p.cost+toTgt[p.at] < frontier[next].cost+toTgt[frontier[next].at] {
+				next = i
+			}
+		}
+		p := frontier[next]
+		frontier[next] = frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		if p.at == tgt {
+			costs = append(costs, p.cost)
+			continue
+		}
+		for _, e := range g.OutEdges(p.at) {
+			if toTgt[e.To] != inf && !visits(p, e.To) {
+				frontier = append(frontier, &partial{at: e.To, cost: p.cost + e.Action.Cost, prev: p})
+			}
+		}
+	}
+	return costs
 }
 
 // TestPropertySAGStructureOnRandomSystems: every SAG node is safe, every

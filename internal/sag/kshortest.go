@@ -1,16 +1,15 @@
 package sag
 
 import (
-	"container/heap"
 	"sort"
-	"time"
 
 	"repro/internal/model"
 )
 
 // KShortestPaths returns up to k loopless shortest paths from source to
-// target in ascending cost order, computed with Yen's algorithm over
-// repeated Dijkstra runs. The first path equals ShortestPath's result.
+// target in ascending cost order, computed with Yen's algorithm: each
+// spur search is Search over the SAG with the banned nodes and edges as
+// its admit filter. The first path equals ShortestPath's result.
 // The failure-recovery ladder uses index 1 ("the second minimum adaptation
 // path", paper Sec. 4.4) and beyond. It returns *ErrNoPath when not even
 // one path exists.
@@ -36,21 +35,29 @@ func (g *Graph) KShortestPaths(source, target model.Config, k int) ([]Path, erro
 			spur := prevConfigs[i]
 			rootSteps := prev.Steps[:i]
 
-			banned := newBanSet()
 			// Ban edges that would recreate any already-accepted path
-			// sharing this root.
+			// sharing this root, and the root nodes (except the spur
+			// itself) to keep paths loopless.
+			var bannedEdges []Edge
 			for _, p := range paths {
 				if len(p.Steps) > i && sameSteps(p.Steps[:i], rootSteps) {
-					banned.banEdge(p.Steps[i])
+					bannedEdges = append(bannedEdges, p.Steps[i])
 				}
 			}
-			// Ban root nodes (except the spur itself) to keep paths
-			// loopless.
-			for _, c := range prevConfigs[:i] {
-				banned.banNode(c)
-			}
-
-			spurPath, spurErr := g.shortestPathAvoiding(spur, target, banned)
+			bannedNodes := prevConfigs[:i]
+			spurPath, spurErr := g.search(spur, target, func(e Edge) bool {
+				for _, c := range bannedNodes {
+					if e.To == c {
+						return false
+					}
+				}
+				for _, b := range bannedEdges {
+					if e.Same(b) {
+						return false
+					}
+				}
+				return true
+			})
 			if spurErr != nil {
 				continue // no spur path; try next spur node
 			}
@@ -80,108 +87,12 @@ func (g *Graph) KShortestPaths(source, target model.Config, k int) ([]Path, erro
 	return paths, nil
 }
 
-// banSet tracks nodes and edges excluded from a Dijkstra run.
-type banSet struct {
-	nodes map[model.Config]bool
-	edges map[edgeKey]bool
-}
-
-type edgeKey struct {
-	from, to model.Config
-	actionID string
-}
-
-func newBanSet() *banSet {
-	return &banSet{
-		nodes: make(map[model.Config]bool),
-		edges: make(map[edgeKey]bool),
-	}
-}
-
-func (b *banSet) banNode(c model.Config) { b.nodes[c] = true }
-
-func (b *banSet) banEdge(e Edge) {
-	b.edges[edgeKey{from: e.From, to: e.To, actionID: e.Action.ID}] = true
-}
-
-func (b *banSet) edgeBanned(e Edge) bool {
-	return b.edges[edgeKey{from: e.From, to: e.To, actionID: e.Action.ID}]
-}
-
-// shortestPathAvoiding is Dijkstra restricted to edges and nodes not in
-// the ban set.
-func (g *Graph) shortestPathAvoiding(source, target model.Config, banned *banSet) (Path, error) {
-	si, ok := g.index[source]
-	if !ok || banned.nodes[source] {
-		return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
-	}
-	ti, ok := g.index[target]
-	if !ok {
-		return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
-	}
-	if si == ti {
-		return Path{}, nil
-	}
-
-	const inf = time.Duration(1<<63 - 1)
-	dist := make([]time.Duration, len(g.nodes))
-	prev := make([]int, len(g.nodes))
-	via := make([]Edge, len(g.nodes))
-	done := make([]bool, len(g.nodes))
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
-	}
-	dist[si] = 0
-
-	pq := &nodeHeap{}
-	heap.Push(pq, nodeDist{node: si, dist: 0})
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(nodeDist)
-		u := cur.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == ti {
-			break
-		}
-		for _, e := range g.out[u] {
-			if banned.nodes[e.To] || banned.edgeBanned(e) {
-				continue
-			}
-			v := g.index[e.To]
-			if done[v] {
-				continue
-			}
-			if nd := dist[u] + e.Action.Cost; nd < dist[v] {
-				dist[v] = nd
-				prev[v] = u
-				via[v] = e
-				heap.Push(pq, nodeDist{node: v, dist: nd})
-			}
-		}
-	}
-	if dist[ti] == inf {
-		return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
-	}
-	var rev []Edge
-	for at := ti; at != si; at = prev[at] {
-		rev = append(rev, via[at])
-	}
-	steps := make([]Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return Path{Steps: steps}, nil
-}
-
 func sameSteps(a, b []Edge) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].From != b[i].From || a[i].To != b[i].To || a[i].Action.ID != b[i].Action.ID {
+		if !a[i].Same(b[i]) {
 			return false
 		}
 	}

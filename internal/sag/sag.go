@@ -3,14 +3,16 @@
 //
 // A SAG's vertices are safe configurations; an arc (c1,c2) labelled with
 // adaptive action a exists iff a.Apply(c1) = c2 and both c1 and c2 are
-// safe. Edge weights are action costs; Dijkstra's algorithm yields the
-// Minimum Adaptation Path (MAP), and Yen's algorithm yields the k shortest
-// loopless paths used by the failure-recovery ladder ("try the second
-// minimum adaptation path", Sec. 4.4).
+// safe. Edge weights are action costs. One search core, Search, answers
+// every path query: Dijkstra over the SAG yields the Minimum Adaptation
+// Path (MAP); Yen's algorithm runs it with node and edge bans to yield
+// the k shortest loopless paths used by the failure-recovery ladder ("try
+// the second minimum adaptation path", Sec. 4.4); and the planner runs it
+// over successors generated on the fly, with or without an A* heuristic,
+// for the partial exploration of Sec. 7.
 package sag
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,6 +27,12 @@ import (
 type Edge struct {
 	From, To model.Config
 	Action   action.Action
+}
+
+// Same reports whether e and o are the same adaptation step: the same
+// action between the same configurations.
+func (e Edge) Same(o Edge) bool {
+	return e.From == o.From && e.To == o.To && e.Action.ID == o.Action.ID
 }
 
 // Graph is a safe adaptation graph. Construct with Build; read-only
@@ -174,98 +182,28 @@ func (e *ErrNoPath) Error() string {
 	return fmt.Sprintf("sag: no adaptation path from %s to %s", e.Source, e.Target)
 }
 
-// ShortestPath runs Dijkstra's algorithm and returns the minimum
-// adaptation path (MAP) from source to target. Ties are broken
-// deterministically by preferring fewer steps, then lexicographically
-// smaller action-ID sequences, so results are stable across runs.
+// ShortestPath returns the minimum adaptation path (MAP) from source to
+// target: Search with no heuristic (Dijkstra) over the SAG's adjacency,
+// so ties go to fewer steps, then the smaller action ID on the last step.
 func (g *Graph) ShortestPath(source, target model.Config) (Path, error) {
-	si, ok := g.index[source]
-	if !ok {
+	if _, ok := g.index[source]; !ok {
 		return Path{}, fmt.Errorf("sag: source %s is not a safe configuration", g.reg.BitVector(source))
 	}
-	ti, ok := g.index[target]
-	if !ok {
+	if _, ok := g.index[target]; !ok {
 		return Path{}, fmt.Errorf("sag: target %s is not a safe configuration", g.reg.BitVector(target))
 	}
-	if si == ti {
-		return Path{}, nil
-	}
+	return g.search(source, target, nil)
+}
 
-	const inf = time.Duration(1<<63 - 1)
-	dist := make([]time.Duration, len(g.nodes))
-	hops := make([]int, len(g.nodes))
-	prev := make([]int, len(g.nodes)) // predecessor node index
-	via := make([]Edge, len(g.nodes)) // edge used to reach node
-	done := make([]bool, len(g.nodes))
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
-	}
-	dist[si] = 0
+// succ is the Successors function over the SAG's adjacency.
+func (g *Graph) succ(c model.Config, _ []Edge) []Edge { return g.out[g.index[c]] }
 
-	pq := &nodeHeap{}
-	heap.Push(pq, nodeDist{node: si, dist: 0})
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(nodeDist)
-		u := cur.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == ti {
-			break
-		}
-		for _, e := range g.out[u] {
-			v := g.index[e.To]
-			if done[v] {
-				continue
-			}
-			nd := dist[u] + e.Action.Cost
-			nh := hops[u] + 1
-			better := nd < dist[v] ||
-				(nd == dist[v] && nh < hops[v]) ||
-				(nd == dist[v] && nh == hops[v] && prev[v] >= 0 && e.Action.ID < via[v].Action.ID)
-			if better {
-				dist[v] = nd
-				hops[v] = nh
-				prev[v] = u
-				via[v] = e
-				heap.Push(pq, nodeDist{node: v, dist: nd})
-			}
-		}
-	}
-	if dist[ti] == inf {
+// search runs Search over the SAG, reporting an unreachable target as
+// *ErrNoPath.
+func (g *Graph) search(source, target model.Config, admit func(Edge) bool) (Path, error) {
+	path, _, ok := Search(source, target, g.succ, admit, nil)
+	if !ok {
 		return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
 	}
-
-	// Reconstruct.
-	var rev []Edge
-	for at := ti; at != si; at = prev[at] {
-		rev = append(rev, via[at])
-	}
-	steps := make([]Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return Path{Steps: steps}, nil
-}
-
-// nodeDist is a priority-queue entry.
-type nodeDist struct {
-	node int
-	dist time.Duration
-}
-
-type nodeHeap []nodeDist
-
-func (h nodeHeap) Len() int           { return len(h) }
-func (h nodeHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return path, nil
 }
